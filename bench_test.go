@@ -20,7 +20,6 @@ import (
 	"maras/internal/faers"
 	"maras/internal/fpgrowth"
 	"maras/internal/glyph"
-	"maras/internal/lcm"
 	"maras/internal/mcac"
 	"maras/internal/rank"
 	"maras/internal/studysim"
@@ -202,22 +201,9 @@ func BenchmarkMineFPGrowth(b *testing.B) {
 	}
 }
 
-// BenchmarkMineLCM measures the LCM closed-itemset engine on the
-// same workload (unbounded length — LCM enumerates only closed sets,
-// so it needs no safety cap).
-func BenchmarkMineLCM(b *testing.B) {
-	db := benchDB(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sets := lcm.MineClosed(db, lcm.Options{MinSupport: benchMinSup})
-		if len(sets) == 0 {
-			b.Fatal("nothing mined")
-		}
-	}
-}
-
 // BenchmarkMineFPGrowthUnbounded is the FP-Growth closed path without
-// the length cap, the apples-to-apples comparison for BenchmarkMineLCM.
+// the length cap: mine every frequent itemset, then the linear
+// closedness pass.
 func BenchmarkMineFPGrowthUnbounded(b *testing.B) {
 	db := benchDB(b)
 	b.ResetTimer()

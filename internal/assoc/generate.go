@@ -1,8 +1,6 @@
 package assoc
 
 import (
-	"sort"
-
 	"maras/internal/fpgrowth"
 	"maras/internal/txdb"
 	"maras/internal/types"
@@ -27,13 +25,15 @@ type GenOptions struct {
 // Lemma 3.4.2 guarantees the rule is a supported (non-spurious)
 // association. Itemsets without both domains are skipped.
 //
-// Measures are evaluated exactly against db. Results are sorted by
-// descending support, then key, for determinism.
+// Measures are evaluated exactly against db through a support table
+// for this call, since antecedents and consequents recur across
+// itemsets. Results are sorted by descending support, then key.
 func FromItemsets(db *txdb.DB, sets []fpgrowth.FrequentSet, opts GenOptions) []Rule {
 	if opts.MinDrugs < 1 {
 		opts.MinDrugs = 1
 	}
 	dict := db.Dict()
+	table := txdb.NewSupportTable(db, len(sets))
 	rules := make([]Rule, 0, len(sets))
 	for _, fs := range sets {
 		drugs, reacs := dict.SplitDomains(fs.Items)
@@ -43,18 +43,13 @@ func FromItemsets(db *txdb.DB, sets []fpgrowth.FrequentSet, opts GenOptions) []R
 		if opts.MaxDrugs > 0 && len(drugs) > opts.MaxDrugs {
 			continue
 		}
-		r := Evaluate(db, drugs, reacs)
+		r := Evaluate(table, drugs, reacs)
 		if r.Confidence < opts.MinConfidence {
 			continue
 		}
 		rules = append(rules, r)
 	}
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].Support != rules[j].Support {
-			return rules[i].Support > rules[j].Support
-		}
-		return rules[i].Key() < rules[j].Key()
-	})
+	sortBySupport(rules)
 	return rules
 }
 
@@ -94,13 +89,15 @@ func AllPartitions(db *txdb.DB, sets []fpgrowth.FrequentSet, maxAnt int) []Rule 
 			})
 		})
 	}
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].Support != rules[j].Support {
-			return rules[i].Support > rules[j].Support
-		}
-		return rules[i].Key() < rules[j].Key()
-	})
+	sortBySupport(rules)
 	return rules
+}
+
+// sortBySupport orders rules by descending support, then key.
+func sortBySupport(rules []Rule) {
+	SortByKey(rules, func(r *Rule) *Rule { return r }, func(a, b *Rule) int {
+		return b.Support - a.Support
+	})
 }
 
 // subsetsIncludingFull visits every non-empty subset of s, including

@@ -8,6 +8,7 @@ package assoc
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"maras/internal/txdb"
@@ -34,6 +35,30 @@ func (r *Rule) Complete() types.Itemset { return r.Antecedent.Union(r.Consequent
 // Key returns a canonical identity for the rule (antecedent ⇒
 // consequent), stable across runs.
 func (r *Rule) Key() string { return r.Antecedent.Key() + "=>" + r.Consequent.Key() }
+
+// SortByKey sorts xs by cmp, breaking ties by ascending rule key,
+// where rule picks each element's rule. Each key is built once per
+// sort instead of twice per comparison; the order is unchanged.
+func SortByKey[T any](xs []T, rule func(*T) *Rule, cmp func(a, b *T) int) {
+	keyed := make([]keyedElem[T], len(xs))
+	for i := range xs {
+		keyed[i] = keyedElem[T]{xs[i], rule(&xs[i]).Key()}
+	}
+	sort.Slice(keyed, func(i, j int) bool {
+		if c := cmp(&keyed[i].x, &keyed[j].x); c != 0 {
+			return c < 0
+		}
+		return keyed[i].key < keyed[j].key
+	})
+	for i := range keyed {
+		xs[i] = keyed[i].x
+	}
+}
+
+type keyedElem[T any] struct {
+	x   T
+	key string
+}
 
 // Render formats the rule with names from dict, e.g.
 // "[ASPIRIN WARFARIN] => [Haemorrhage] (sup=12 conf=0.86 lift=34.1)".
@@ -74,9 +99,16 @@ func (m Measure) Value(r *Rule) float64 {
 	return r.Confidence
 }
 
+// Counter answers exact support queries: *txdb.DB from its posting
+// lists, *txdb.SupportTable memoised.
+type Counter interface {
+	Support(set types.Itemset) int
+	Len() int // transactions
+}
+
 // Evaluate computes every measure of the rule A ⇒ B against db. It is
 // exact: supports come from posting-list intersections.
-func Evaluate(db *txdb.DB, antecedent, consequent types.Itemset) Rule {
+func Evaluate(db Counter, antecedent, consequent types.Itemset) Rule {
 	r := Rule{Antecedent: antecedent, Consequent: consequent}
 	r.Support = db.Support(antecedent.Union(consequent))
 	r.AntSupport = db.Support(antecedent)
@@ -123,21 +155,46 @@ func (s SupportType) String() string {
 // given complete itemset against db, directly per Definitions 3.3.1
 // and 3.3.2. Explicit wins when both hold.
 func Classify(db *txdb.DB, complete types.Itemset) SupportType {
-	tids := db.TIDs(complete, nil)
+	return ClassifyTIDs(db, complete, db.TIDs(complete, nil))
+}
+
+// ClassifyTIDs is Classify for a caller that already holds tids, the
+// ascending IDs of exactly the transactions containing complete.
+func ClassifyTIDs(db *txdb.DB, complete types.Itemset, tids []txdb.TID) SupportType {
 	for _, tid := range tids {
 		if db.Tx(tid).Items.Equal(complete) {
 			return Explicit
 		}
 	}
 	// Implicit: complete == (t1.D ∪ t1.A) ∩ (t2.D ∪ t2.A) for some pair.
-	// Only transactions containing the set can participate.
+	// Only transactions containing the set can participate, so the
+	// intersection equals it when it has no more items.
 	for i := 0; i < len(tids); i++ {
+		a := db.Tx(tids[i]).Items
 		for j := i + 1; j < len(tids); j++ {
-			inter := db.Tx(tids[i]).Items.Intersect(db.Tx(tids[j]).Items)
-			if inter.Equal(complete) {
+			if commonAtMost(a, db.Tx(tids[j]).Items, len(complete)) {
 				return Implicit
 			}
 		}
 	}
 	return Unsupported
+}
+
+// commonAtMost reports whether the normalized itemsets a and b share
+// at most limit items, without building their intersection.
+func commonAtMost(a, b types.Itemset, limit int) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			if limit--; limit < 0 {
+				return false
+			}
+			i, j = i+1, j+1
+		}
+	}
+	return true
 }

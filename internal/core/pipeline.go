@@ -362,12 +362,14 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 	signals := make([]Signal, len(ranked))
 	known := 0
 	prof.DoStage(ctx, StageLink, func() {
+		table := txdb.NewSupportTable(db, 0) // bitmaps for the TID lists
 		var tidBuf []txdb.TID
 		for i, r := range ranked {
 			c := r.Cluster
 			drugs := dict.SortedNames(c.Target.Antecedent)
 			reacs := dict.SortedNames(c.Target.Consequent)
-			tidBuf = db.TIDs(c.Target.Complete(), tidBuf)
+			complete := c.Target.Complete()
+			tidBuf = table.TIDs(complete, tidBuf)
 			ids := make([]string, len(tidBuf))
 			nSerious := 0
 			for j, tid := range tidBuf {
@@ -389,7 +391,7 @@ func run(ctx context.Context, reports []faers.Report, opts Options) (*Analysis, 
 				Support:      c.Target.Support,
 				Confidence:   c.Target.Confidence,
 				Lift:         c.Target.Lift,
-				SupportType:  assoc.Classify(db, c.Target.Complete()),
+				SupportType:  assoc.ClassifyTIDs(db, complete, tidBuf),
 				Cluster:      c,
 				Known:        opts.Knowledge.Lookup(drugs),
 				SeriousShare: seriousShare,

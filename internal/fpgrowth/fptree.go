@@ -8,9 +8,9 @@
 //   - Mine enumerates all frequent itemsets by recursive conditional
 //     FP-tree projection.
 //   - MineClosed keeps only closed itemsets (Definition 3.4.1): sets
-//     with no proper superset of equal support. Closedness is checked
-//     against a support-keyed hash index of already-found closed sets,
-//     the standard CLOSET/FPClose subsumption check.
+//     with no proper superset of equal support. FilterClosed decides
+//     closedness in one linear pass over Mine's output: every set
+//     marks its one-item removals of equal support as not closed.
 package fpgrowth
 
 import (
@@ -20,14 +20,16 @@ import (
 	"maras/internal/types"
 )
 
-// node is an FP-tree node. Children are kept in a small map; FAERS
-// transactions are short (tens of items), so fan-out stays modest.
+// node is an FP-tree node. Children form a linked sibling list: FAERS
+// transactions are short, so fan-out stays modest, and a scan costs
+// no more than a per-node map at a fraction of the memory.
 type node struct {
-	item     types.Item
-	count    int
-	parent   *node
-	children map[types.Item]*node
-	next     *node // header-table chain of nodes holding the same item
+	item    types.Item
+	count   int
+	parent  *node
+	child   *node // first child
+	sibling *node // next child of parent
+	next    *node // header-table chain of nodes holding the same item
 }
 
 // tree is an FP-tree plus its header table.
@@ -42,7 +44,7 @@ type tree struct {
 
 func newTree(order map[types.Item]int, minsup int) *tree {
 	return &tree{
-		root:   &node{children: make(map[types.Item]*node)},
+		root:   &node{},
 		heads:  make(map[types.Item]*node),
 		counts: make(map[types.Item]int),
 		order:  order,
@@ -55,10 +57,13 @@ func newTree(order map[types.Item]int, minsup int) *tree {
 func (t *tree) insert(path []types.Item, count int) {
 	cur := t.root
 	for _, it := range path {
-		child := cur.children[it]
+		child := cur.child
+		for child != nil && child.item != it {
+			child = child.sibling
+		}
 		if child == nil {
-			child = &node{item: it, parent: cur, children: make(map[types.Item]*node)}
-			cur.children[it] = child
+			child = &node{item: it, parent: cur, sibling: cur.child}
+			cur.child = child
 			child.next = t.heads[it]
 			t.heads[it] = child
 		}
@@ -78,14 +83,8 @@ func (t *tree) items() []types.Item {
 			out = append(out, it)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		// Higher rank value = less frequent; peel those first.
-		ri, rj := t.order[out[i]], t.order[out[j]]
-		if ri != rj {
-			return ri > rj
-		}
-		return out[i] > out[j]
-	})
+	// Less frequent (higher, unique rank) first.
+	sort.Slice(out, func(i, j int) bool { return t.order[out[i]] > t.order[out[j]] })
 	return out
 }
 
@@ -131,15 +130,13 @@ func (t *tree) singlePath() ([]types.Item, []int, bool) {
 	var counts []int
 	cur := t.root
 	for {
-		if len(cur.children) == 0 {
+		if cur.child == nil {
 			return items, counts, true
 		}
-		if len(cur.children) > 1 {
+		if cur.child.sibling != nil {
 			return nil, nil, false
 		}
-		for _, child := range cur.children {
-			cur = child
-		}
+		cur = cur.child
 		items = append(items, cur.item)
 		counts = append(counts, cur.count)
 	}

@@ -1,7 +1,8 @@
 package fpgrowth
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"maras/internal/txdb"
 	"maras/internal/types"
@@ -131,58 +132,52 @@ func mineSinglePath(items []types.Item, counts []int, suffix types.Itemset, opts
 func MineClosed(db *txdb.DB, opts Options) []FrequentSet {
 	all := Mine(db, opts)
 	closed := FilterClosed(all)
-	sort.Slice(closed, func(i, j int) bool {
-		a, b := closed[i], closed[j]
-		if a.Support != b.Support {
-			return a.Support > b.Support
+	slices.SortFunc(closed, func(a, b FrequentSet) int {
+		if c := cmp.Compare(b.Support, a.Support); c != 0 {
+			return c
 		}
-		if len(a.Items) != len(b.Items) {
-			return len(a.Items) < len(b.Items)
+		if c := cmp.Compare(len(a.Items), len(b.Items)); c != 0 {
+			return c
 		}
-		for k := range a.Items {
-			if a.Items[k] != b.Items[k] {
-				return a.Items[k] < b.Items[k]
-			}
-		}
-		return false
+		return slices.Compare(a.Items, b.Items)
 	})
 	return closed
 }
 
 // FilterClosed removes every itemset that has a proper superset with
-// equal support within sets. Sets must contain each itemset at most
-// once (Mine guarantees this).
+// equal support within sets, keeping the survivors in input order.
+// Sets must contain each itemset at most once (Mine guarantees this).
 //
-// The check uses the classic support-bucketed subsumption index:
-// group candidates by support, and within a bucket test subset
-// containment longest-first. Only supersets with *equal* support can
-// subsume (a proper superset can never have higher support).
+// Precondition: sets is downward closed (every non-empty subset of a
+// member is a member), as Mine's output is, MaxLen included. Then if
+// S has an equal-support proper superset T in sets, it has one with
+// one more item: for j ∈ T∖S, supp(T) ≤ supp(S ∪ {j}) ≤ supp(S). So
+// one linear pass decides closedness: each member marks its one-item
+// removals S∖{i} of equal support. A set at the MaxLen cap has no
+// longer members and is kept, even when the DB holds a longer
+// superset of equal support.
 func FilterClosed(sets []FrequentSet) []FrequentSet {
-	bySupport := make(map[int][]FrequentSet)
+	index := types.NewIndex(len(sets))
 	for _, fs := range sets {
-		bySupport[fs.Support] = append(bySupport[fs.Support], fs)
+		if _, added := index.Add(fs.Items); !added {
+			panic("fpgrowth: FilterClosed input repeats an itemset")
+		}
 	}
-	var out []FrequentSet
-	for _, bucket := range bySupport {
-		// Longest first: an itemset can only be subsumed by a longer one.
-		sort.Slice(bucket, func(i, j int) bool { return len(bucket[i].Items) > len(bucket[j].Items) })
-		kept := make([]FrequentSet, 0, len(bucket))
-		for _, fs := range bucket {
-			subsumed := false
-			for _, k := range kept {
-				if len(k.Items) <= len(fs.Items) {
-					break // kept is sorted by length desc; no longer sets remain
-				}
-				if k.Items.ContainsAll(fs.Items) {
-					subsumed = true
-					break
-				}
-			}
-			if !subsumed {
-				kept = append(kept, fs)
+	notClosed := make([]bool, len(sets)) // by index ID, which is the position in sets
+	var sub types.Itemset
+	for _, fs := range sets {
+		for i := range fs.Items {
+			sub = append(append(sub[:0], fs.Items[:i]...), fs.Items[i+1:]...)
+			if id := index.Find(sub); id >= 0 && sets[id].Support == fs.Support {
+				notClosed[id] = true
 			}
 		}
-		out = append(out, kept...)
+	}
+	var out []FrequentSet
+	for i, fs := range sets {
+		if !notClosed[i] {
+			out = append(out, fs)
+		}
 	}
 	return out
 }

@@ -7,7 +7,7 @@
 package mcac
 
 import (
-	"sort"
+	"cmp"
 
 	"maras/internal/assoc"
 	"maras/internal/txdb"
@@ -73,13 +73,13 @@ func (c *Cluster) ContextRules() []assoc.Rule {
 // contextual rule X ⇒ B with measures evaluated exactly (Definition
 // 3.5.2: the context covers the whole power set minus the full
 // antecedent and the empty set).
-func Build(db *txdb.DB, target assoc.Rule) Cluster {
+func Build(db assoc.Counter, target assoc.Rule) Cluster {
 	n := len(target.Antecedent)
 	c := Cluster{Target: target}
 	if n < 2 {
 		return c
 	}
-	byCard := make(map[int][]assoc.Rule, n-1)
+	byCard := make([][]assoc.Rule, n)
 	target.Antecedent.ProperSubsets(func(sub types.Itemset) bool {
 		r := assoc.Evaluate(db, sub.Clone(), target.Consequent)
 		byCard[len(sub)] = append(byCard[len(sub)], r)
@@ -87,11 +87,8 @@ func Build(db *txdb.DB, target assoc.Rule) Cluster {
 	})
 	for k := n - 1; k >= 1; k-- {
 		rules := byCard[k]
-		sort.Slice(rules, func(i, j int) bool {
-			if rules[i].Confidence != rules[j].Confidence {
-				return rules[i].Confidence > rules[j].Confidence
-			}
-			return rules[i].Key() < rules[j].Key()
+		assoc.SortByKey(rules, func(r *assoc.Rule) *assoc.Rule { return r }, func(a, b *assoc.Rule) int {
+			return cmp.Compare(b.Confidence, a.Confidence)
 		})
 		c.Levels = append(c.Levels, Level{Cardinality: k, Rules: rules})
 	}
@@ -99,14 +96,17 @@ func Build(db *txdb.DB, target assoc.Rule) Cluster {
 }
 
 // BuildAll constructs a cluster per target rule. Single-drug rules are
-// skipped (they have no context and signal no interaction).
+// skipped (they have no context and signal no interaction). Supports
+// come from a support table for this call: X and X ∪ B recur across
+// clusters.
 func BuildAll(db *txdb.DB, targets []assoc.Rule) []Cluster {
+	table := txdb.NewSupportTable(db, len(targets))
 	out := make([]Cluster, 0, len(targets))
 	for _, r := range targets {
 		if len(r.Antecedent) < 2 {
 			continue
 		}
-		out = append(out, Build(db, r))
+		out = append(out, Build(table, r))
 	}
 	return out
 }

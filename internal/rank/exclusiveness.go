@@ -14,9 +14,9 @@
 package rank
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
 
 	"maras/internal/assoc"
 	"maras/internal/mcac"
@@ -237,14 +237,11 @@ func Rank(clusters []mcac.Cluster, m Method, opts Options) []Ranked {
 		}
 		out[i] = Ranked{Cluster: c, Score: s}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	assoc.SortByKey(out, func(r *Ranked) *assoc.Rule { return &r.Cluster.Target }, func(a, b *Ranked) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		if out[i].Cluster.Target.Support != out[j].Cluster.Target.Support {
-			return out[i].Cluster.Target.Support > out[j].Cluster.Target.Support
-		}
-		return out[i].Cluster.Target.Key() < out[j].Cluster.Target.Key()
+		return b.Cluster.Target.Support - a.Cluster.Target.Support
 	})
 	return out
 }

@@ -71,18 +71,19 @@ func (db *DB) Tx(tid TID) Transaction { return db.txs[tid] }
 // Transactions returns the backing slice; callers must not mutate it.
 func (db *DB) Transactions() []Transaction { return db.txs }
 
-// ItemSupport returns the number of transactions containing it.
-func (db *DB) ItemSupport(it types.Item) int { return len(db.postings[it]) }
-
-// Postings returns the sorted TID list for it; callers must not
-// mutate it. Nil means the item never occurs.
-func (db *DB) Postings(it types.Item) []TID { return db.postings[it] }
-
 // Support returns |{t : set ⊆ t}|, the absolute support of set
-// (Formula 2.1), computed exactly by intersecting posting lists,
-// rarest-first. The empty set is contained in every transaction.
+// (Formula 2.1), computed exactly from the posting lists without
+// materialising the matching TIDs. The empty set is contained in every
+// transaction.
 func (db *DB) Support(set types.Itemset) int {
-	return len(db.TIDs(set, nil))
+	switch len(set) {
+	case 0:
+		return len(db.txs)
+	case 1:
+		return len(db.postings[set[0]])
+	}
+	n, _ := db.intersect(set, nil, false, nil)
+	return n
 }
 
 // TIDs returns the sorted transaction IDs containing every item of
@@ -96,44 +97,61 @@ func (db *DB) TIDs(set types.Itemset, buf []TID) []TID {
 		}
 		return buf
 	}
-	// Order lists shortest-first: intersection cost is bounded by the
-	// smallest list, and galloping search exploits the size skew.
-	lists := make([][]TID, len(set))
-	for i, it := range set {
-		p := db.postings[it]
-		if len(p) == 0 {
-			return buf
-		}
-		lists[i] = p
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	buf = append(buf, lists[0]...)
-	for _, l := range lists[1:] {
-		buf = intersectInto(buf, l)
-		if len(buf) == 0 {
-			return buf
-		}
-	}
+	_, buf = db.intersect(set, buf, true, nil)
 	return buf
 }
 
-// intersectInto intersects acc (sorted) with l (sorted) in place,
-// using galloping search over the longer list.
-func intersectInto(acc []TID, l []TID) []TID {
-	out := acc[:0]
-	j := 0
-	for _, v := range acc {
-		// Gallop forward in l to the first element >= v.
-		j = gallop(l, j, v)
-		if j >= len(l) {
-			break
+// intersect counts the transactions containing every item of set (at
+// least one item), appending their TIDs to buf when collect is set.
+// It walks the rarest item's posting list and probes the others,
+// rarest first: with one word read where bitmap (if non-nil) gives a
+// bitmap, else by galloping forward through the posting list.
+func (db *DB) intersect(set types.Itemset, buf []TID, collect bool, bitmap func(types.Item) []uint64) (int, []TID) {
+	type probe struct {
+		list []TID
+		bits []uint64
+	}
+	var arr [16]probe // sets are short: keeps the probes off the heap
+	probes := arr[:0]
+	for _, it := range set {
+		pr := probe{list: db.postings[it]}
+		if len(pr.list) == 0 {
+			return 0, buf
 		}
-		if l[j] == v {
-			out = append(out, v)
-			j++
+		if bitmap != nil {
+			pr.bits = bitmap(it)
+		}
+		probes = append(probes, pr)
+		for k := len(probes) - 1; k > 0 && len(probes[k].list) < len(probes[k-1].list); k-- {
+			probes[k], probes[k-1] = probes[k-1], probes[k]
 		}
 	}
-	return out
+	n := 0
+next:
+	for _, v := range probes[0].list {
+		for k := 1; k < len(probes); k++ {
+			pr := &probes[k]
+			if pr.bits != nil {
+				if pr.bits[v>>6]&(1<<(v&63)) == 0 {
+					continue next
+				}
+				continue
+			}
+			j := gallop(pr.list, 0, v)
+			if j == len(pr.list) {
+				break next
+			}
+			pr.list = pr.list[j:]
+			if pr.list[0] != v {
+				continue next
+			}
+		}
+		n++
+		if collect {
+			buf = append(buf, v)
+		}
+	}
+	return n, buf
 }
 
 // gallop returns the smallest index i >= start with l[i] >= v, by
