@@ -200,7 +200,7 @@ func TestStoreModeDebugAuditJSONAndSweep(t *testing.T) {
 	}
 }
 
-// TestMiningModeDebugAudit: the single-quarter server mounts
+// TestMiningModeDebugAudit: the server started without -store mounts
 // /debug/audit too; without a configured log it answers 404 rather
 // than panicking.
 func TestMiningModeDebugAudit(t *testing.T) {

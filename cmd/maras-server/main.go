@@ -20,8 +20,12 @@
 // With -store the server mines nothing: it serves pre-mined quarter
 // snapshots (written by maras-mine -snapshot-out) from the given
 // directory — the latest quarter at /, every quarter under
-// /q/{label}/..., the inventory at /api/quarters, and cross-quarter
-// signal trajectories at /api/timeline/{drugkey}. See store.go.
+// /q/{label}/..., the inventory at /api/quarters and /quarters, and
+// cross-quarter signal trajectories at /api/timeline/{drugkey}. See
+// store.go. Without -store the server mines -quarter from -data into a
+// temporary store and then serves it exactly as -store does, so the
+// same routes answer there too; the directory is removed on clean
+// shutdown.
 package main
 
 import (
@@ -50,12 +54,10 @@ import (
 	"maras/internal/knowledge"
 	"maras/internal/network"
 	"maras/internal/obs"
-	"maras/internal/obs/history"
 	"maras/internal/obs/prof"
 	"maras/internal/obs/wide"
 	"maras/internal/replica"
 	"maras/internal/resilience"
-	"maras/internal/slo"
 	"maras/internal/store"
 	"maras/internal/strata"
 	"maras/internal/watch"
@@ -74,8 +76,6 @@ type server struct {
 	analysis *core.Analysis
 	quarter  string
 	logger   *slog.Logger
-	alog     *audit.Log // event timeline behind /debug/audit; may be nil
-	started  time.Time
 }
 
 // log returns the configured logger, or a discard logger so handler
@@ -85,77 +85,6 @@ func (s *server) log() *slog.Logger {
 		return s.logger
 	}
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
-// routes assembles the full instrumented mux: every UI/API handler
-// wrapped in the observability middleware, plus the operational
-// endpoints. journal may be nil (tracing disabled, /debug/traces
-// 404s); ready gates /readyz; shed may be nil (no load shedding);
-// slos may be nil (history/SLO endpoints 404). The bulkhead covers
-// only the application routes, so health probes and metric scrapes
-// stay answerable under saturation. The text-heavy operational
-// endpoints negotiate gzip — exposition text and trace dumps
-// compress an order of magnitude.
-func (s *server) routes(reg *obs.Registry, mw *obs.HTTPMetrics, journal *obs.Journal, ready *obs.Readiness, shed *resilience.Bulkhead, slos *sloStack, ws *watchStack, captor *prof.Captor, events *wide.Ring) http.Handler {
-	// Mining mode serves the one in-memory analysis, so every
-	// application response carries the "local" serving origin — the
-	// same header the store mode's degradation ladder populates.
-	app := func(h http.HandlerFunc) http.Handler {
-		return shed.Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set(store.OriginHeader, string(store.OriginLocal))
-			h(w, r)
-		}))
-	}
-	mux := http.NewServeMux()
-	mw.Handle(mux, "/", app(s.handleIndex))
-	mw.Handle(mux, "/signal/", app(s.handleSignal))
-	mw.Handle(mux, "/glyph/", app(s.handleGlyph))
-	mw.Handle(mux, "/barchart/", app(s.handleBarChart))
-	mw.Handle(mux, "/report/", app(s.handleReport))
-	mw.Handle(mux, "/api/signals", app(s.handleAPISignals))
-	mw.Handle(mux, "/network.dot", app(s.handleNetworkDOT))
-	mw.Handle(mux, "/network.json", app(s.handleNetworkJSON))
-	ws.register(mux, mw, app)
-	mountOperational(mux, reg, journal, ready, slos, s.healthDetail, s.alog, captor, events)
-	return mux
-}
-
-// mountOperational registers the operational endpoints shared by the
-// mining and store serving modes: metrics, health/readiness, trace
-// and audit timelines, the metrics history, the SLO report, and the
-// continuous-profiling surface. Build identity is registered here —
-// once per process, whichever serving mode runs — and echoed on
-// /healthz and /readyz next to the caller's detail.
-func mountOperational(mux *http.ServeMux, reg *obs.Registry, journal *obs.Journal, ready *obs.Readiness, slos *sloStack, detail func() map[string]any, alog *audit.Log, captor *prof.Captor, events *wide.Ring) {
-	bi := obs.RegisterBuildInfo(reg)
-	withBuild := func() map[string]any {
-		m := bi.Detail()
-		if detail != nil {
-			for k, v := range detail() {
-				m[k] = v
-			}
-		}
-		return m
-	}
-	mux.Handle("/metrics", obs.GzipHandler(obs.MetricsHandler(reg)))
-	mux.Handle("/healthz", obs.HealthzHandler(withBuild))
-	mux.Handle("/readyz", obs.ReadyzHandler(ready, withBuild))
-	mux.Handle("/debug/traces", obs.GzipHandler(obs.TracesHandler(journal)))
-	mux.Handle("/debug/audit", obs.GzipHandler(audit.Handler(alog)))
-	mux.Handle("/debug/history", obs.GzipHandler(history.Handler(slos.history())))
-	mux.Handle("/api/history/", obs.GzipHandler(history.APIHandler(slos.history(), "/api/history/")))
-	mux.Handle("/api/slo", obs.GzipHandler(slo.Handler(slos.engine())))
-	mux.Handle("/debug/vars", obs.ExpvarHandler())
-	// The profile index and JSON listing negotiate gzip like the other
-	// text surfaces; artifact downloads (application/octet-stream) pass
-	// through uncompressed so clients keep a trustworthy Content-Length.
-	profH := obs.GzipHandler(prof.Handler(captor, "/debug/profiles"))
-	mux.Handle("/debug/profiles", profH)
-	mux.Handle("/debug/profiles/", profH)
-	mux.Handle("/debug/events", obs.GzipHandler(wide.Handler(events)))
-	mux.Handle("/debug/diag/", obs.GzipHandler(wide.DiagHandler(
-		newDiag(events, journal, alog, slos, ready, captor), "/debug/diag/")))
-	obs.RegisterPprof(mux)
 }
 
 // quarterMux assembles just the per-quarter application routes —
@@ -172,15 +101,6 @@ func (s *server) quarterMux() *http.ServeMux {
 	mux.HandleFunc("/network.dot", s.handleNetworkDOT)
 	mux.HandleFunc("/network.json", s.handleNetworkJSON)
 	return mux
-}
-
-func (s *server) healthDetail() map[string]any {
-	return map[string]any{
-		"quarter":        s.quarter,
-		"signals":        len(s.analysis.Signals),
-		"reports":        s.analysis.Stats.Reports,
-		"uptime_seconds": int64(time.Since(s.started).Seconds()),
-	}
 }
 
 func main() {
@@ -250,9 +170,8 @@ func main() {
 	}
 	logger := obs.NewLogger(os.Stderr, *logFormat, level)
 
-	// Replication only makes sense over an on-disk snapshot store: a
-	// mining server has nothing to advertise and nowhere to install
-	// fetched quarters.
+	// Replication only makes sense over a durable snapshot store: the
+	// temporary store a server mines into at startup vanishes with it.
 	if *storeDir == "" && (*peers != "" || *replicaListen != "" || *rescanInterval > 0) {
 		fmt.Fprintln(os.Stderr, "maras-server: -peers, -replica-listen, and -rescan-interval require -store")
 		os.Exit(2)
@@ -412,9 +331,10 @@ func main() {
 		defer sampler.Stop()
 	}
 
-	// The watchlist subsystem is live in both serving modes; store mode
-	// persists lists next to the snapshots unless told otherwise. Drift
-	// events reach the evaluator through the audit log subscription.
+	// Watchlists persist next to the -store snapshots unless told
+	// otherwise; a mined temporary store keeps them in memory unless
+	// -watch-file is given. Drift events reach the evaluator through
+	// the audit log subscription.
 	wfile := *watchFile
 	if wfile == "" && *storeDir != "" {
 		wfile = filepath.Join(*storeDir, "watchlists.mrwl")
@@ -434,142 +354,90 @@ func main() {
 		logger.Info("watchlists loaded", "file", wfile, "lists", ws.ix.Len())
 	}
 
-	var handler http.Handler
-	var replicaSrv *http.Server
-	if *storeDir != "" {
-		ss, err := newStoreServer(*storeDir, logger, tracer, obs.NewStoreMetrics(reg), auditor, ws, events)
-		if err != nil {
-			logger.Error("open store", "err", err)
-			os.Exit(1)
-		}
-		// The replica node always exists in store mode so peers can pull
-		// from this server even when it has no -peers of its own; the
-		// sync loop only runs when there is someone to pull from.
-		node := replica.NewNode(ss.reg, replica.Options{
-			Name:     *addr,
-			Peers:    splitPeers(*peers),
-			Interval: *syncInterval,
-			Metrics:  replica.NewMetrics(reg),
-			Wide:     events,
-			Auditor:  auditor,
-			Logger:   logger,
-			OnRound: func(st replica.SyncStats) {
-				ready.SetDegraded("replica", st.Unreachable > 0)
-			},
-		})
-		ss.replica = node
-		if len(node.Peers()) > 0 {
-			ss.reg.SetPeerFetch(node.FetchAnalysis)
-			node.Start(ctx)
-			logger.Info("replica sync started",
-				"peers", node.Peers(), "interval", *syncInterval)
-		}
-		ss.reg.StartRescan(ctx, *rescanInterval)
-		quarters := ss.reg.Quarters()
-		logger.Info("serving from store", "dir", *storeDir,
-			"quarters", len(quarters), "default", ss.reg.Latest())
-		handler = ss.routes(reg, mw, journal, ready, shed, slos, ws, captor, events)
-		ready.SetReady() // registry opened and scanned: store mode can serve
-		// Populate the audit timeline in the background: quality per
-		// quarter, drift per adjacent pair. Serving never waits on it,
-		// and the sweep stops with the lifecycle context on SIGTERM.
-		go ss.auditSweep(ctx)
-		// An optional second listener carries only the replica sync
-		// endpoints, so operators can keep peer traffic off the public
-		// address (and firewall the two apart).
-		if *replicaListen != "" {
-			rmux := http.NewServeMux()
-			node.Mount(rmux)
-			replicaSrv = &http.Server{
-				Addr:              *replicaListen,
-				Handler:           rmux,
-				ReadHeaderTimeout: 5 * time.Second,
-				ReadTimeout:       30 * time.Second,
-				WriteTimeout:      2 * time.Minute,
-				IdleTimeout:       2 * time.Minute,
-				ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
-			}
-			go func() {
-				if err := replicaSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-					logger.Error("replica listener", "err", err)
-				}
-			}()
-			logger.Info("replica sync listening", "addr", *replicaListen)
-		}
-	} else {
-		q, err := faers.LoadQuarter(*data, *quarter)
-		if err != nil {
-			logger.Error("load quarter", "err", err)
-			os.Exit(1)
-		}
+	// Without -store, mine the quarter into a temporary store first;
+	// from here on both invocations run the same store-mode server.
+	// exit removes the temporary store too: os.Exit skips defers.
+	dir, exit := *storeDir, os.Exit
+	if dir == "" {
 		opts := core.NewOptions()
 		opts.MinSupport = *minsup
 		opts.TopK = *topK
 		opts.Tracer = tracer
-		logger.Info("mining", "quarter", *quarter, "minsup", *minsup)
-		// Trace the startup mine into the journal (trace "startup") so
-		// /debug/traces explains where boot time went, stage by stage.
-		mineCtx := context.Background()
-		var mineTrace *obs.Trace
-		var mineRoot *obs.Span
-		if journal != nil {
-			mineTrace = obs.NewTrace("startup")
-			mineCtx, mineRoot = mineTrace.StartRoot(mineCtx, "startup mine "+*quarter)
-		}
-		a, err := core.RunQuarterContext(mineCtx, q, opts)
-		if mineRoot != nil {
-			mineRoot.End()
-			journal.Add(mineTrace.Snapshot())
-		}
+		dir, err = mineIntoStore(*data, *quarter, opts, journal, events, logger)
 		if err != nil {
-			logger.Error("pipeline", "err", err)
+			logger.Error("mine into store", "err", err)
 			os.Exit(1)
 		}
-		// The startup mine is a unit of work like any other: one wide
-		// event, linked to the "startup" trace when tracing is on.
-		events.Emit(wide.Event{
-			Kind: wide.KindMine, Quarter: *quarter, Status: 200,
-			Duration: tracer.TotalDuration(), Trace: mineRoot.TraceID(),
-		})
-		for _, st := range tracer.Records() {
-			logger.Info("pipeline stage", "stage", st.Name,
-				"duration", st.Duration().Round(time.Millisecond),
-				"alloc_mb", st.AllocBytes>>20)
+		defer os.RemoveAll(dir)
+		exit = func(code int) { os.RemoveAll(dir); os.Exit(code) }
+	}
+	ss, err := newStoreServer(dir, logger, tracer, obs.NewStoreMetrics(reg), auditor, ws, events)
+	if err != nil {
+		logger.Error("open store", "err", err)
+		exit(1)
+	}
+	if *storeDir == "" {
+		// Decode the mined quarter once before traffic arrives: the
+		// registry's OnLoad hook seeds the watch vocabulary and fires
+		// the alerts its signals qualify for.
+		if _, err := ss.reg.Load(*quarter); err != nil {
+			logger.Error("load mined quarter", "err", err)
+			exit(1)
 		}
-		logger.Info("ready", "signals", len(a.Signals), "reports", a.Stats.Reports,
-			"mining_wall", tracer.TotalDuration().Round(time.Millisecond))
-		// Audit the freshly mined quarter (no trailing context in
-		// single-quarter mode) so ingest anomalies hit the event log
-		// and the operator log line before traffic arrives.
-		qr := audit.ComputeQuality(*quarter, a)
-		audit.EvaluateQuality(qr, nil, auditor.ActiveThresholds())
-		auditor.RecordQuality(qr)
-		logger.Info("ingest quality", "quarter", *quarter, "verdict", qr.Verdict,
-			"drop_rate", fmt.Sprintf("%.3f", qr.DropRate), "findings", len(qr.Findings))
-		// Seed the watch subsystem with the mined quarter: populate the
-		// known-drug vocabulary and fire any alerts the startup signals
-		// qualify for.
-		ws.onQuarterLoaded(context.Background(), *quarter, a)
-		s := &server{analysis: a, quarter: *quarter, logger: logger, alog: alog, started: time.Now()}
-		handler = s.routes(reg, mw, journal, ready, shed, slos, ws, captor, events)
-		ready.SetReady() // initial mine complete: traffic can flow
+	}
+	// The replica node always exists in store mode so peers can pull
+	// from this server even when it has no -peers of its own; the
+	// sync loop only runs when there is someone to pull from.
+	node := replica.NewNode(ss.reg, replica.Options{
+		Name:     *addr,
+		Peers:    splitPeers(*peers),
+		Interval: *syncInterval,
+		Metrics:  replica.NewMetrics(reg),
+		Wide:     events,
+		Auditor:  auditor,
+		Logger:   logger,
+		OnRound: func(st replica.SyncStats) {
+			ready.SetDegraded("replica", st.Unreachable > 0)
+		},
+	})
+	ss.replica = node
+	if len(node.Peers()) > 0 {
+		ss.reg.SetPeerFetch(node.FetchAnalysis)
+		node.Start(ctx)
+		logger.Info("replica sync started",
+			"peers", node.Peers(), "interval", *syncInterval)
+	}
+	ss.reg.StartRescan(ctx, *rescanInterval)
+	logger.Info("serving from store", "dir", dir,
+		"quarters", len(ss.reg.Quarters()), "default", ss.reg.Latest())
+	handler := ss.routes(wiring{reg: reg, mw: mw, journal: journal, ready: ready, shed: shed,
+		slos: slos, ws: ws, captor: captor, events: events})
+	ready.SetReady() // registry opened and scanned: the server can serve
+	// Populate the audit timeline in the background: quality per
+	// quarter, drift per adjacent pair. Serving never waits on it,
+	// and the sweep stops with the lifecycle context on SIGTERM.
+	go ss.auditSweep(ctx)
+	// An optional second listener carries only the replica sync
+	// endpoints, so operators can keep peer traffic off the public
+	// address (and firewall the two apart).
+	var replicaSrv *http.Server
+	if *replicaListen != "" {
+		rmux := http.NewServeMux()
+		node.Mount(rmux)
+		replicaSrv = newHTTPServer(*replicaListen, rmux, logger)
+		go func() {
+			if err := replicaSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				logger.Error("replica listener", "err", err)
+			}
+		}()
+		logger.Info("replica sync listening", "addr", *replicaListen)
 	}
 	// Start scraping only once the serving mode is up: the first
 	// scrape then sees every eagerly-registered route series, giving
 	// the burn-rate windows a clean zero baseline.
 	slos.start(ctx)
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		// Generous write timeout: /debug/pprof/profile streams for
-		// 30s (configurable via ?seconds=) and must not be cut off.
-		WriteTimeout: 2 * time.Minute,
-		IdleTimeout:  2 * time.Minute,
-		ErrorLog:     slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
-	}
+	srv := newHTTPServer(*addr, handler, logger)
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
@@ -579,7 +447,7 @@ func main() {
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			logger.Error("serve", "err", err)
-			os.Exit(1)
+			exit(1)
 		}
 	case <-ctx.Done():
 		stop() // restore default signal handling: a second ^C kills hard
@@ -599,9 +467,24 @@ func main() {
 		}
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			logger.Error("shutdown", "err", err)
-			os.Exit(1)
+			exit(1)
 		}
 		logger.Info("drained cleanly")
+	}
+}
+
+// newHTTPServer configures a listener with the process's timeouts.
+// The write timeout is generous: /debug/pprof/profile streams for 30s
+// (configurable via ?seconds=) and must not be cut off.
+func newHTTPServer(addr string, h http.Handler, logger *slog.Logger) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
 	}
 }
 
@@ -616,6 +499,61 @@ func splitPeers(spec string) []string {
 		}
 	}
 	return out
+}
+
+// mineIntoStore is the start-up of a server run without -store: it
+// loads label's FAERS files from dataDir, mines them under the
+// "startup" journal trace (journal may be nil), emits the mine wide
+// event, logs the stage timings, and saves the analysis into a new
+// temporary store whose directory it returns. The caller serves that
+// directory in store mode and removes it on shutdown. opts.Tracer
+// must be set: its stage records feed the log lines and the event.
+func mineIntoStore(dataDir, label string, opts core.Options, journal *obs.Journal, events *wide.Ring, logger *slog.Logger) (string, error) {
+	q, err := faers.LoadQuarter(dataDir, label)
+	if err != nil {
+		return "", fmt.Errorf("load quarter: %w", err)
+	}
+	logger.Info("mining", "quarter", label, "minsup", opts.MinSupport)
+	// Trace the startup mine into the journal (trace "startup") so
+	// /debug/traces explains where boot time went, stage by stage.
+	ctx := context.Background()
+	var tr *obs.Trace
+	var root *obs.Span
+	if journal != nil {
+		tr = obs.NewTrace("startup")
+		ctx, root = tr.StartRoot(ctx, "startup mine "+label)
+	}
+	a, err := core.RunQuarterContext(ctx, q, opts)
+	if root != nil {
+		root.End()
+		journal.Add(tr.Snapshot())
+	}
+	if err != nil {
+		return "", fmt.Errorf("pipeline: %w", err)
+	}
+	// The startup mine is a unit of work like any other: one wide
+	// event, linked to the "startup" trace when tracing is on.
+	wall := opts.Tracer.TotalDuration()
+	events.Emit(wide.Event{
+		Kind: wide.KindMine, Quarter: label, Status: 200,
+		Duration: wall, Trace: root.TraceID(),
+	})
+	for _, st := range opts.Tracer.Records() {
+		logger.Info("pipeline stage", "stage", st.Name,
+			"duration", st.Duration().Round(time.Millisecond),
+			"alloc_mb", st.AllocBytes>>20)
+	}
+	logger.Info("mined", "signals", len(a.Signals), "reports", a.Stats.Reports,
+		"mining_wall", wall.Round(time.Millisecond))
+	dir, err := os.MkdirTemp("", "maras-server-")
+	if err != nil {
+		return "", err
+	}
+	if err := store.WriteFile(filepath.Join(dir, label+store.Ext), label, a); err != nil {
+		os.RemoveAll(dir)
+		return "", fmt.Errorf("save mined quarter: %w", err)
+	}
+	return dir, nil
 }
 
 // renderHTML executes a template into a buffer first so a mid-render

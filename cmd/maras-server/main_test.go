@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"maras/internal/audit"
 	"maras/internal/core"
 	"maras/internal/faers"
 	"maras/internal/obs"
+	"maras/internal/store"
 )
 
 func testServer(t *testing.T) *server {
@@ -213,29 +216,49 @@ func TestBarChartSVG(t *testing.T) {
 	}
 }
 
+// mineModeHandler serves s's analysis the way maras-server without
+// -store does: saved into a one-quarter temporary store, decoded once
+// through the registry, then served by store mode. auditor may be nil
+// (no audit log: /debug/audit 404s).
+func mineModeHandler(t *testing.T, s *server, auditor *audit.Auditor, w wiring) (http.Handler, *storeServer) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := store.WriteFile(filepath.Join(dir, s.quarter+store.Ext), s.quarter, s.analysis); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := newStoreServer(dir, nil, nil, obs.NewStoreMetrics(w.reg), auditor, w.ws, w.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ss.reg.Load(s.quarter); err != nil {
+		t.Fatal(err)
+	}
+	return ss.routes(w), ss
+}
+
 // testHandler builds the full instrumented mux the way main does
-// (tracing off, readiness already signaled).
+// without -store (tracing off, readiness already signaled).
 func testHandler(t *testing.T) (http.Handler, *server) {
 	t.Helper()
 	s := testServer(t)
 	reg := obs.NewRegistry()
-	mw := obs.NewHTTPMetrics(reg, nil)
 	ready := &obs.Readiness{}
 	ready.SetReady()
-	return s.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil), s
+	h, _ := mineModeHandler(t, s, nil, wiring{reg: reg, mw: obs.NewHTTPMetrics(reg, nil), ready: ready})
+	return h, s
 }
 
 // testHandlerTraced is testHandler with span tracing into a journal.
 func testHandlerTraced(t *testing.T) (http.Handler, *obs.Journal) {
 	t.Helper()
-	s := testServer(t)
 	reg := obs.NewRegistry()
 	mw := obs.NewHTTPMetrics(reg, nil)
 	journal := obs.NewJournal(16, time.Hour)
 	mw.EnableTracing(journal)
 	ready := &obs.Readiness{}
 	ready.SetReady()
-	return s.routes(reg, mw, journal, ready, nil, nil, nil, nil, nil), journal
+	h, _ := mineModeHandler(t, testServer(t), nil, wiring{reg: reg, mw: mw, journal: journal, ready: ready})
+	return h, journal
 }
 
 func getMux(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
@@ -290,14 +313,14 @@ func TestHealthzEndpoint(t *testing.T) {
 		t.Fatalf("/healthz status = %d", rec.Code)
 	}
 	var body struct {
-		Status  string `json:"status"`
-		Quarter string `json:"quarter"`
-		Signals int    `json:"signals"`
+		Status   string `json:"status"`
+		Default  string `json:"default"`
+		Quarters int    `json:"quarters"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ok" || body.Quarter != s.quarter || body.Signals != len(s.analysis.Signals) {
+	if body.Status != "ok" || body.Default != s.quarter || body.Quarters != 1 {
 		t.Errorf("healthz = %+v", body)
 	}
 }
@@ -340,9 +363,11 @@ func TestIndexContentTypeSet(t *testing.T) {
 }
 
 func TestHealthDetailUptimeNonNegative(t *testing.T) {
-	s := testServer(t)
-	s.started = time.Now().Add(-2 * time.Second)
-	d := s.healthDetail()
+	reg := obs.NewRegistry()
+	_, ss := mineModeHandler(t, testServer(t), nil,
+		wiring{reg: reg, mw: obs.NewHTTPMetrics(reg, nil), ready: &obs.Readiness{}})
+	ss.started = time.Now().Add(-2 * time.Second)
+	d := ss.healthDetail()
 	if up, ok := d["uptime_seconds"].(int64); !ok || up < 2 {
 		t.Errorf("uptime_seconds = %v", d["uptime_seconds"])
 	}
@@ -355,7 +380,7 @@ func TestReadyzEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	mw := obs.NewHTTPMetrics(reg, nil)
 	ready := &obs.Readiness{}
-	h := s.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil)
+	h, _ := mineModeHandler(t, s, nil, wiring{reg: reg, mw: mw, ready: ready})
 
 	if rec := getMux(t, h, "/healthz"); rec.Code != http.StatusOK {
 		t.Errorf("/healthz before ready = %d, want 200 (liveness is unconditional)", rec.Code)
@@ -375,12 +400,12 @@ func TestReadyzEndpoint(t *testing.T) {
 	}
 	var body struct {
 		Status  string `json:"status"`
-		Quarter string `json:"quarter"`
+		Default string `json:"default"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Status != "ready" || body.Quarter != s.quarter {
+	if body.Status != "ready" || body.Default != s.quarter {
 		t.Errorf("readyz detail = %+v", body)
 	}
 }

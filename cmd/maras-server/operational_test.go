@@ -2,8 +2,9 @@ package main
 
 // Operational-surface drift guard and the wide-event incident-view
 // acceptance path. The drift guard pins the full set of operational
-// endpoints in BOTH serving modes: a refactor that forgets to mount
-// one (or mounts it in only one mode) fails here, not in production.
+// endpoints in BOTH invocations — with -store and mined into a
+// temporary store without it: a refactor that forgets to mount one
+// fails here, not in production.
 
 import (
 	"compress/gzip"
@@ -23,21 +24,10 @@ import (
 	"maras/internal/slo"
 )
 
-// fullStack bundles every subsystem a serving mode can run, wired the
-// way main does.
-type fullStack struct {
-	reg     *obs.Registry
-	mw      *obs.HTTPMetrics
-	journal *obs.Journal
-	events  *wide.Ring
-	alog    *audit.Log
-	ready   *obs.Readiness
-	slos    *sloStack
-	captor  *prof.Captor
-	ws      *watchStack
-}
-
-func newFullStack(t *testing.T) *fullStack {
+// newFullStack wires every subsystem a server can run the way main
+// does (bulkhead off), returning the wiring plus the audit log the
+// SLO engine and the watch evaluator record into.
+func newFullStack(t *testing.T) (wiring, *audit.Log) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	mw := obs.NewHTTPMetrics(reg, nil)
@@ -64,33 +54,33 @@ func newFullStack(t *testing.T) *fullStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fullStack{reg: reg, mw: mw, journal: journal, events: events,
-		alog: alog, ready: ready, slos: &sloStack{hist: hist, eng: eng},
-		captor: captor, ws: ws}
+	return wiring{reg: reg, mw: mw, journal: journal, ready: ready,
+		slos: &sloStack{hist: hist, eng: eng}, ws: ws, captor: captor, events: events}, alog
 }
 
-// mineHandler builds the mine-mode mux with the full stack.
-func (fs *fullStack) mineHandler(t *testing.T) http.Handler {
+// mineHandler builds the full-stack mux the way main does without
+// -store: the fixture quarter mined into a temporary store and served
+// in store mode.
+func mineHandler(t *testing.T, w wiring, alog *audit.Log) http.Handler {
 	t.Helper()
-	s := testServer(t)
-	s.alog = fs.alog
-	return s.routes(fs.reg, fs.mw, fs.journal, fs.ready, nil, fs.slos, fs.ws, fs.captor, fs.events)
+	h, _ := mineModeHandler(t, testServer(t), &audit.Auditor{Log: alog, Metrics: w.reg}, w)
+	return h
 }
 
-// storeModeHandler builds the store-mode mux with the full stack.
-func (fs *fullStack) storeModeHandler(t *testing.T) http.Handler {
+// storeModeHandler builds the -store mux with the full stack.
+func storeModeHandler(t *testing.T, w wiring, alog *audit.Log) http.Handler {
 	t.Helper()
-	auditor := &audit.Auditor{Log: fs.alog, Metrics: fs.reg}
-	ss, err := newStoreServer(tempStoreDir(t, 1), nil, nil, obs.NewStoreMetrics(fs.reg), auditor, fs.ws, fs.events)
+	auditor := &audit.Auditor{Log: alog, Metrics: w.reg}
+	ss, err := newStoreServer(tempStoreDir(t, 1), nil, nil, obs.NewStoreMetrics(w.reg), auditor, w.ws, w.events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ss.routes(fs.reg, fs.mw, fs.journal, fs.ready, nil, fs.slos, fs.ws, fs.captor, fs.events)
+	return ss.routes(w)
 }
 
 // TestOperationalSurfaceBothModes is the drift guard: every
 // operational endpoint must be mounted and answering its expected
-// status in both serving modes.
+// status with -store ("store") and without it ("mine").
 func TestOperationalSurfaceBothModes(t *testing.T) {
 	endpoints := []struct {
 		url  string
@@ -111,13 +101,14 @@ func TestOperationalSurfaceBothModes(t *testing.T) {
 		{"/api/slo", http.StatusOK},
 		{"/api/watch/stats", http.StatusOK},
 	}
-	modes := map[string]func(*testing.T) http.Handler{
-		"mine":  func(t *testing.T) http.Handler { return newFullStack(t).mineHandler(t) },
-		"store": func(t *testing.T) http.Handler { return newFullStack(t).storeModeHandler(t) },
+	modes := map[string]func(*testing.T, wiring, *audit.Log) http.Handler{
+		"mine":  mineHandler,
+		"store": storeModeHandler,
 	}
 	for mode, build := range modes {
 		t.Run(mode, func(t *testing.T) {
-			h := build(t)
+			w, alog := newFullStack(t)
+			h := build(t, w, alog)
 			for _, ep := range endpoints {
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, ep.url, nil))
@@ -134,8 +125,8 @@ func TestOperationalSurfaceBothModes(t *testing.T) {
 // its full trace, in-window audit events — and its trace ID appears as
 // an exemplar in the OpenMetrics /metrics rendering.
 func TestDiagEndToEnd(t *testing.T) {
-	fs := newFullStack(t)
-	h := fs.storeModeHandler(t)
+	w, alog := newFullStack(t)
+	h := storeModeHandler(t, w, alog)
 	const reqID = "incident0badc0de"
 
 	// Induce the request (slow threshold is irrelevant to retrieval;
@@ -148,7 +139,7 @@ func TestDiagEndToEnd(t *testing.T) {
 		t.Fatalf("induced request = %d", rec.Code)
 	}
 	// An audit event lands inside the correlation window.
-	fs.alog.Record(audit.Event{Rule: "incident_marker", Severity: audit.SevWarn,
+	alog.Record(audit.Event{Rule: "incident_marker", Severity: audit.SevWarn,
 		Scope: "2014Q1", Message: "synthetic incident for diag test"})
 
 	rec = httptest.NewRecorder()
@@ -192,11 +183,11 @@ func TestDiagEndToEnd(t *testing.T) {
 // index compresses for gzip-accepting clients while artifact downloads
 // (application/octet-stream) stay identity-encoded.
 func TestProfilesGzipNegotiation(t *testing.T) {
-	fs := newFullStack(t)
-	if _, err := fs.captor.Store().Add("cpu", "test", "", "", []byte("pprofdata"), 0); err != nil {
+	w, alog := newFullStack(t)
+	if _, err := w.captor.Store().Add("cpu", "test", "", "", []byte("pprofdata"), 0); err != nil {
 		t.Fatal(err)
 	}
-	h := fs.mineHandler(t)
+	h := mineHandler(t, w, alog)
 
 	get := func(url string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(http.MethodGet, url, nil)
@@ -232,8 +223,8 @@ func TestProfilesGzipNegotiation(t *testing.T) {
 // TestWatchRoutesGzip pins satellite behavior: the watch JSON GETs
 // negotiate gzip.
 func TestWatchRoutesGzip(t *testing.T) {
-	fs := newFullStack(t)
-	h := fs.mineHandler(t)
+	w, alog := newFullStack(t)
+	h := mineHandler(t, w, alog)
 	for _, url := range []string{"/api/watchlists?user=alice", "/api/watch/stats"} {
 		req := httptest.NewRequest(http.MethodGet, url, nil)
 		req.Header.Set("Accept-Encoding", "gzip")

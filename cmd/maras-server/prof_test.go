@@ -43,7 +43,7 @@ func TestProfilesEndpointThroughMux(t *testing.T) {
 		CPUWindow:     time.Millisecond,
 		TriggerWindow: time.Millisecond,
 	})
-	h := s.routes(reg, mw, nil, ready, nil, nil, nil, captor, nil)
+	h, _ := mineModeHandler(t, s, nil, wiring{reg: reg, mw: mw, ready: ready, captor: captor})
 
 	arts, err := captor.CaptureCycle(context.Background(), prof.CauseScheduled, "")
 	if err != nil {
@@ -93,10 +93,11 @@ func TestAuditEndpointGzip(t *testing.T) {
 	mw := obs.NewHTTPMetrics(reg, nil)
 	ready := &obs.Readiness{}
 	ready.SetReady()
-	s.alog = audit.NewLog(audit.LogOptions{Metrics: reg})
-	s.alog.Record(audit.Event{Rule: "quality_gate", Severity: audit.SevWarn,
+	alog := audit.NewLog(audit.LogOptions{Metrics: reg})
+	alog.Record(audit.Event{Rule: "quality_gate", Severity: audit.SevWarn,
 		Scope: "2014Q1", Message: "support floor grazed"})
-	h := s.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil)
+	h, _ := mineModeHandler(t, s, &audit.Auditor{Log: alog, Metrics: reg},
+		wiring{reg: reg, mw: mw, ready: ready})
 
 	req := httptest.NewRequest(http.MethodGet, "/debug/audit", nil)
 	req.Header.Set("Accept-Encoding", "gzip")

@@ -37,7 +37,7 @@ func storeHandlerShed(t *testing.T, dir string, cfg resilience.BulkheadConfig) (
 	}
 	ready := &obs.Readiness{}
 	ready.SetReady()
-	return ss.routes(reg, mw, nil, ready, shed, nil, nil, nil, nil), reg
+	return ss.routes(wiring{reg: reg, mw: mw, ready: ready, shed: shed}), reg
 }
 
 // flipByte corrupts a snapshot in place so decode fails its checksum.

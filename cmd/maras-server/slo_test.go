@@ -59,7 +59,7 @@ func sloStoreHandler(t *testing.T, dir string) (http.Handler, *sloStack, *sloClo
 	})
 	hist.OnScrape(eng.Tick)
 	slos := &sloStack{hist: hist, eng: eng}
-	h := ss.routes(reg, mw, nil, ready, nil, slos, nil, nil, nil)
+	h := ss.routes(wiring{reg: reg, mw: mw, ready: ready, slos: slos})
 	hist.Scrape() // baseline after routes register the HTTP series
 	return h, slos, clock, ready, alog
 }

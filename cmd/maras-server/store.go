@@ -1,10 +1,11 @@
 package main
 
-// Store mode: maras-server -store DIR serves a directory of per-
-// quarter snapshots written by maras-mine -snapshot-out (or the
-// registry itself). Mining happened once, offline; the server only
-// ever decodes snapshots, so startup is milliseconds instead of a
-// full FP-Growth run and one process serves every quarter:
+// Store mode, the one serving path: maras-server -store DIR serves a
+// directory of per-quarter snapshots written by maras-mine
+// -snapshot-out (or the registry itself); without -store, main first
+// mines one quarter into a temporary directory (mineIntoStore). The
+// server only ever decodes snapshots, and one process serves every
+// quarter:
 //
 //	/                       the latest quarter's full UI + API
 //	/q/{label}/...          any quarter's UI + API (e.g. /q/2014Q2/api/signals)
@@ -34,10 +35,12 @@ import (
 	"maras/internal/core"
 	"maras/internal/knowledge"
 	"maras/internal/obs"
+	"maras/internal/obs/history"
 	"maras/internal/obs/prof"
 	"maras/internal/obs/wide"
 	"maras/internal/replica"
 	"maras/internal/resilience"
+	"maras/internal/slo"
 	"maras/internal/store"
 	"maras/internal/trend"
 )
@@ -117,18 +120,34 @@ func (ss *storeServer) log() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// routes assembles the store-mode mux: quarter-scoped and default-
-// quarter application routes under observability middleware, plus the
-// operational endpoints. journal may be nil (tracing disabled,
-// /debug/traces 404s); ready gates /readyz and carries the degraded
-// flag; shed may be nil (no load shedding); slos may be nil
-// (history/SLO endpoints 404). The bulkhead wraps only the
+// wiring carries the process-wide subsystems routes mounts; ready
+// gates /readyz and carries the degraded flag. Any other nil member
+// disables its surface (no tracing, shedding, history/SLO, watch
+// routes, profiles, or wide events; their endpoints 404).
+type wiring struct {
+	reg     *obs.Registry
+	mw      *obs.HTTPMetrics
+	journal *obs.Journal
+	ready   *obs.Readiness
+	shed    *resilience.Bulkhead
+	slos    *sloStack
+	ws      *watchStack
+	captor  *prof.Captor
+	events  *wide.Ring
+}
+
+// routes assembles the serving mux: quarter-scoped and default-quarter
+// application routes under observability middleware, plus the
+// operational endpoints (metrics, health, traces, audit, history, SLO,
+// wide events, profiles, pprof). The bulkhead wraps only the
 // application routes — the operational endpoints stay reachable at
-// any load, which is when an operator needs them most.
-func (ss *storeServer) routes(reg *obs.Registry, mw *obs.HTTPMetrics, journal *obs.Journal, ready *obs.Readiness, shed *resilience.Bulkhead, slos *sloStack, ws *watchStack, captor *prof.Captor, events *wide.Ring) http.Handler {
-	ss.ready = ready
-	ss.slos = slos
-	app := func(h http.HandlerFunc) http.Handler { return shed.Middleware(h) }
+// any load, which is when an operator needs them most. The text-heavy
+// operational endpoints negotiate gzip.
+func (ss *storeServer) routes(w wiring) http.Handler {
+	ss.ready = w.ready
+	ss.slos = w.slos
+	app := func(h http.HandlerFunc) http.Handler { return w.shed.Middleware(h) }
+	mw := w.mw
 	mux := http.NewServeMux()
 	// The JSON APIs negotiate gzip: quarter inventories, timelines,
 	// quality reports, and drift reports are repetitive text that
@@ -139,8 +158,18 @@ func (ss *storeServer) routes(reg *obs.Registry, mw *obs.HTTPMetrics, journal *o
 	mw.Handle(mux, "/api/drift/", obs.GzipHandler(app(ss.handleDrift)))
 	mw.Handle(mux, "/quarters", app(ss.handleQuartersPage))
 	mw.Handle(mux, "/q/", app(ss.handleQuarterScoped))
-	mw.Handle(mux, "/", app(ss.handleDefaultQuarter))
-	ws.register(mux, mw, app)
+	// Each page quarterMux serves keeps its own metrics label; "/" takes
+	// the index, the rest, and a bare "/signal", whose redirect the
+	// quarter's mux answers with the serving origin.
+	root := mw.Wrap("/", app(ss.handleDefaultQuarter))
+	mux.Handle("/", root)
+	for _, p := range []string{"/signal/", "/glyph/", "/barchart/", "/report/", "/api/signals", "/network.dot", "/network.json"} {
+		mw.Handle(mux, p, app(ss.handleDefaultQuarter))
+		if bare, ok := strings.CutSuffix(p, "/"); ok {
+			mux.Handle(bare, root)
+		}
+	}
+	w.ws.register(mux, mw, app)
 	if ss.replica != nil {
 		// The peer-sync endpoints mount OUTSIDE the bulkhead, next to
 		// the operational surface: a node saturated with client traffic
@@ -150,18 +179,42 @@ func (ss *storeServer) routes(reg *obs.Registry, mw *obs.HTTPMetrics, journal *o
 		mw.Handle(mux, "/sync/inventory", obs.GzipHandler(ss.replica.InventoryHandler()))
 		mw.Handle(mux, "/sync/snapshot/", ss.replica.SnapshotHandler())
 	}
-	mountOperational(mux, reg, journal, ready, slos, ss.healthDetail, ss.auditLog(), captor, events)
-	return mux
-}
 
-// auditLog returns the auditor's event log, nil when auditing is
-// disabled (audit.Handler answers 404 for a nil log, so /debug/audit
-// mounts unconditionally).
-func (ss *storeServer) auditLog() *audit.Log {
-	if ss.auditor == nil {
-		return nil
+	// Build identity is registered once per process and echoed on
+	// /healthz and /readyz next to the store detail.
+	bi := obs.RegisterBuildInfo(w.reg)
+	detail := func() map[string]any {
+		m := bi.Detail()
+		for k, v := range ss.healthDetail() {
+			m[k] = v
+		}
+		return m
 	}
-	return ss.auditor.Log
+	// A nil log (auditing disabled) makes /debug/audit answer 404.
+	var alog *audit.Log
+	if ss.auditor != nil {
+		alog = ss.auditor.Log
+	}
+	mux.Handle("/metrics", obs.GzipHandler(obs.MetricsHandler(w.reg)))
+	mux.Handle("/healthz", obs.HealthzHandler(detail))
+	mux.Handle("/readyz", obs.ReadyzHandler(w.ready, detail))
+	mux.Handle("/debug/traces", obs.GzipHandler(obs.TracesHandler(w.journal)))
+	mux.Handle("/debug/audit", obs.GzipHandler(audit.Handler(alog)))
+	mux.Handle("/debug/history", obs.GzipHandler(history.Handler(w.slos.history())))
+	mux.Handle("/api/history/", obs.GzipHandler(history.APIHandler(w.slos.history(), "/api/history/")))
+	mux.Handle("/api/slo", obs.GzipHandler(slo.Handler(w.slos.engine())))
+	mux.Handle("/debug/vars", obs.ExpvarHandler())
+	// The profile index and JSON listing negotiate gzip like the other
+	// text surfaces; artifact downloads (application/octet-stream) pass
+	// through uncompressed so clients keep a trustworthy Content-Length.
+	profH := obs.GzipHandler(prof.Handler(w.captor, "/debug/profiles"))
+	mux.Handle("/debug/profiles", profH)
+	mux.Handle("/debug/profiles/", profH)
+	mux.Handle("/debug/events", obs.GzipHandler(wide.Handler(w.events)))
+	mux.Handle("/debug/diag/", obs.GzipHandler(wide.DiagHandler(
+		newDiag(w.events, w.journal, alog, w.slos, w.ready, w.captor), "/debug/diag/")))
+	obs.RegisterPprof(mux)
+	return mux
 }
 
 func (ss *storeServer) healthDetail() map[string]any {
@@ -243,7 +296,7 @@ func (ss *storeServer) quarterHandler(ctx context.Context, label string) (http.H
 		span.SetAttr("origin", string(origin))
 		return ss.fallbackQuarterHandler(label, a), origin, nil
 	}
-	qs := &server{analysis: a, quarter: label, logger: ss.logger, started: ss.started}
+	qs := &server{analysis: a, quarter: label, logger: ss.logger}
 	h = qs.quarterMux()
 	ss.mu.Lock()
 	ss.handlers[label] = h
@@ -261,7 +314,7 @@ func (ss *storeServer) fallbackQuarterHandler(label string, a *core.Analysis) ht
 	if fh, ok := ss.fallbackHandlers[label]; ok && fh.a == a {
 		return fh.h
 	}
-	qs := &server{analysis: a, quarter: label, logger: ss.logger, started: ss.started}
+	qs := &server{analysis: a, quarter: label, logger: ss.logger}
 	h := qs.quarterMux()
 	ss.fallbackHandlers[label] = fallbackHandler{a: a, h: h}
 	return h

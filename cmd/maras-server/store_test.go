@@ -68,7 +68,7 @@ func storeHandler(t *testing.T, dir string) (http.Handler, *storeServer, *obs.Tr
 	}
 	ready := &obs.Readiness{}
 	ready.SetReady()
-	return ss.routes(reg, mw, nil, ready, nil, nil, nil, nil, nil), ss, tracer, reg
+	return ss.routes(wiring{reg: reg, mw: mw, ready: ready}), ss, tracer, reg
 }
 
 // storeHandlerTraced is storeHandler with span tracing into a journal.
@@ -84,7 +84,7 @@ func storeHandlerTraced(t *testing.T, dir string) (http.Handler, *obs.Journal) {
 	}
 	ready := &obs.Readiness{}
 	ready.SetReady()
-	return ss.routes(reg, mw, journal, ready, nil, nil, nil, nil, nil), journal
+	return ss.routes(wiring{reg: reg, mw: mw, journal: journal, ready: ready}), journal
 }
 
 func TestStoreModeQuartersEndpoint(t *testing.T) {
@@ -164,6 +164,37 @@ func TestStoreModeDefaultQuarterUI(t *testing.T) {
 	if rec := getMux(t, h, "/glyph/1"); rec.Code != http.StatusOK ||
 		!strings.HasPrefix(rec.Body.String(), "<svg") {
 		t.Errorf("/glyph/1: status %d", rec.Code)
+	}
+}
+
+// TestStoreModeDefaultQuarterRouteLabels: each default-quarter page
+// is counted under its own route label, while a bare "/signal" still
+// reaches the quarter's mux, which redirects it with the serving
+// origin, and is counted under "/".
+func TestStoreModeDefaultQuarterRouteLabels(t *testing.T) {
+	h, _, _, _ := storeHandler(t, tempStoreDir(t, 1))
+	getMux(t, h, "/")
+	getMux(t, h, "/signal/1")
+	getMux(t, h, "/glyph/1")
+	getMux(t, h, "/api/signals")
+	rec := getMux(t, h, "/signal")
+	if rec.Code != http.StatusMovedPermanently || rec.Header().Get("Location") != "/signal/" {
+		t.Fatalf("/signal: status %d, Location %q", rec.Code, rec.Header().Get("Location"))
+	}
+	if got := rec.Header().Get(store.OriginHeader); got != string(store.OriginLocal) {
+		t.Errorf("/signal redirect origin = %q, want %q", got, store.OriginLocal)
+	}
+	body := getMux(t, h, "/metrics").Body.String()
+	for _, want := range []string{
+		`http_requests_total{route="/",code="2xx"} 1`,
+		`http_requests_total{route="/",code="3xx"} 1`,
+		`http_requests_total{route="/signal/",code="2xx"} 1`,
+		`http_requests_total{route="/glyph/",code="2xx"} 1`,
+		`http_requests_total{route="/api/signals",code="2xx"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }
 

@@ -14,11 +14,12 @@ package main
 //	                                response is the next cursor value
 //	GET    /api/watch/stats         index/feed/evaluator counters
 //
-// Evaluation is event-driven: store mode evaluates every quarter as
-// the registry cold-decodes it (store.RegistryOptions.OnLoad), mine
-// mode evaluates the startup quarter once, and audit drift events
-// reach the evaluator through audit.Log.OnRecord. Watchlists persist
-// to a snapshot file (watch.SaveFile) on every mutation.
+// Evaluation is event-driven: every quarter is evaluated as the
+// registry cold-decodes it (store.RegistryOptions.OnLoad) — a server
+// started without -store decodes its mined quarter once before
+// serving — and audit drift events reach the evaluator through
+// audit.Log.OnRecord. Watchlists persist to a snapshot file
+// (watch.SaveFile) on every mutation.
 
 import (
 	"context"

@@ -45,7 +45,7 @@ func watchStoreHandler(t *testing.T, dir, file string) (http.Handler, *storeServ
 	}
 	ready := &obs.Readiness{}
 	ready.SetReady()
-	return ss.routes(reg, mw, nil, ready, nil, nil, ws, nil, nil), ss, ws, reg
+	return ss.routes(wiring{reg: reg, mw: mw, ready: ready, ws: ws}), ss, ws, reg
 }
 
 func postJSON(t *testing.T, h http.Handler, url, body string) *httptest.ResponseRecorder {
@@ -298,7 +298,7 @@ func TestWatchMetricsAndHistory(t *testing.T) {
 	})
 	hist.OnScrape(eng.Tick)
 	slos := &sloStack{hist: hist, eng: eng}
-	h := ss.routes(reg, mw, nil, ready, nil, slos, ws, nil, nil)
+	h := ss.routes(wiring{reg: reg, mw: mw, ready: ready, slos: slos, ws: ws})
 
 	if rec := postJSON(t, h, "/api/watchlists", `{"user":"alice","drugs":["aspirin"]}`); rec.Code != http.StatusCreated {
 		t.Fatalf("create = %d", rec.Code)

@@ -45,7 +45,7 @@ type SLOState struct {
 
 // Diag wires the cross-signal joins the incident view needs. Each
 // adapter is optional — a nil func simply leaves that section out —
-// so serving modes wire whatever subsystems they run.
+// so a server wires whatever subsystems it runs.
 type Diag struct {
 	Ring      *Ring
 	FindTrace func(id string) (obs.TraceRecord, bool)

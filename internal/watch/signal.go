@@ -53,7 +53,8 @@ func FromAnalysis(a *core.Analysis) []Signal {
 }
 
 // EvaluateAnalysis distills and evaluates a mined quarter in one
-// call — the store OnLoad hook and mine-mode startup use this.
+// call — the store registry's OnLoad hook uses this, including for
+// the quarter a server without -store mines at startup.
 func (ev *Evaluator) EvaluateAnalysis(ctx context.Context, label string, a *core.Analysis) Result {
 	return ev.EvaluateQuarter(ctx, label, FromAnalysis(a))
 }
